@@ -808,11 +808,11 @@ func BenchmarkDistEpisodes(b *testing.B) {
 // BenchmarkBigGraph measures the decomposition pipeline (reduce →
 // block-cut split → per-block scholz → recombine) against plain scholz
 // and, on the smallest size, plain liberty, on large sparse instances
-// from randgraph.LargeSparse. Plain scholz re-scans the whole graph for
-// its minimum-degree vertex every elimination step, so its cost grows
-// quadratically; the decomposed path hands it blocks of ~a dozen
-// vertices and recombines exactly, so it should win on both time and
-// cost. After the sub-benchmarks finish the results are written to
+// from randgraph.LargeSparse. Plain scholz eliminates on reduce's
+// worklist heap in O(n log n); the decomposed path hands it blocks of
+// ~a dozen vertices, one pinned solve per color of each cut vertex, and
+// recombines exactly, so it wins on cost but not on time at these
+// sizes. After the sub-benchmarks finish the results are written to
 // BENCH_biggraph.json in the repository root; CI regenerates the file
 // and fails if, on the largest instance, the decomposed solve is less
 // than 5× faster than plain scholz or costs more.

@@ -105,8 +105,24 @@ func TestInfeasibleIsolatedVertex(t *testing.T) {
 	g := pbqp.New(1, 2)
 	g.SetVertexCost(0, cost.NewInfVector(2))
 	r := Apply(g)
-	if _, ok := r.Expand(make(pbqp.Selection, 1)); ok {
+	sel, ok := r.Expand(pbqp.Selection{-1})
+	if ok {
 		t.Error("expanded an infeasible problem")
+	}
+	assertComplete(t, g, sel)
+}
+
+// assertComplete checks that sel holds one in-range color per vertex of
+// g, which Expand guarantees even when it reports infeasibility.
+func assertComplete(t *testing.T, g *pbqp.Graph, sel pbqp.Selection) {
+	t.Helper()
+	if len(sel) != g.NumVertices() {
+		t.Fatalf("selection has %d colors for %d vertices", len(sel), g.NumVertices())
+	}
+	for u, c := range sel {
+		if c < 0 || c >= g.M() {
+			t.Fatalf("vertex %d has color %d, want [0,%d)", u, c, g.M())
+		}
 	}
 }
 

@@ -127,7 +127,14 @@ func TestExpandFullyDisconnectedInfeasible(t *testing.T) {
 	if red.Graph.AliveCount() != 0 {
 		t.Fatalf("edgeless graph left %d residual vertices", red.Graph.AliveCount())
 	}
-	if _, ok := red.Expand(make(pbqp.Selection, g.NumVertices())); ok {
+	sel, ok := red.Expand(pbqp.Selection{-1, -1, -1})
+	if ok {
 		t.Fatal("expansion succeeded despite an all-infinite isolated vertex")
+	}
+	// Expand keeps going past the infeasible vertex: vertex 0, which
+	// it expands last, is still colored.
+	assertComplete(t, g, sel)
+	if sel[0] != 0 || sel[2] != 0 {
+		t.Fatalf("selection %v, want the per-vertex minima 0 and 0 around vertex 1", sel)
 	}
 }

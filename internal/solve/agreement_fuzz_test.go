@@ -7,6 +7,7 @@ import (
 	"pbqprl/internal/decomp"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/reduce"
+	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/brute"
 	"pbqprl/internal/solve/liberty"
 	"pbqprl/internal/solve/scholz"
@@ -78,7 +79,8 @@ func graphFromBytes(data []byte) *pbqp.Graph {
 //   - the decomposition pipeline (reduce → block-cut split → per-block
 //     brute → recombine) is exact for an exact inner solver, so it must
 //     match brute on feasibility and cost bit-for-bit;
-//   - every reported selection must re-evaluate to the reported cost.
+//   - every reported selection must re-evaluate to the reported cost,
+//     and every result must meet solve.Check's invariant.
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1, 2, 3, 1, 0, 5})
 	f.Add([]byte{4, 2, 3, 3, 3, 1, 0, 2})
@@ -89,12 +91,20 @@ func FuzzSolverAgreement(f *testing.F) {
 		if g == nil {
 			return
 		}
+		check := func(name string, g *pbqp.Graph, res solve.Result) {
+			t.Helper()
+			if err := solve.Check(g, res); err != nil {
+				t.Fatalf("%s: %v\n%s", name, err, g)
+			}
+		}
 		exact := brute.Solver{}.Solve(g)
+		check("brute", g, exact)
 		if exact.Feasible && g.TotalCost(exact.Selection) != exact.Cost {
 			t.Fatalf("brute selection does not re-evaluate to its cost\n%s", g)
 		}
 
 		lib := liberty.Solver{}.Solve(g)
+		check("liberty", g, lib)
 		if lib.Feasible != exact.Feasible {
 			t.Fatalf("liberty feasible=%v, brute feasible=%v\n%s", lib.Feasible, exact.Feasible, g)
 		}
@@ -130,6 +140,7 @@ func FuzzSolverAgreement(f *testing.F) {
 		}
 
 		dec := decomp.Wrap(brute.Solver{}).Solve(g)
+		check("decomp(brute)", g, dec)
 		if dec.Feasible != exact.Feasible {
 			t.Fatalf("decomp feasible=%v, brute feasible=%v\n%s", dec.Feasible, exact.Feasible, g)
 		}
@@ -143,6 +154,7 @@ func FuzzSolverAgreement(f *testing.F) {
 		}
 
 		sch := scholz.Solver{}.Solve(g)
+		check("scholz", g, sch)
 		if sch.Feasible {
 			if !exact.Feasible {
 				t.Fatalf("scholz feasible on an infeasible graph\n%s", g)
@@ -156,6 +168,7 @@ func FuzzSolverAgreement(f *testing.F) {
 		}
 
 		schRed := scholz.Solver{}.Solve(red.Graph)
+		check("reduce+scholz", red.Graph, schRed)
 		if schRed.Feasible {
 			full, ok := red.Expand(schRed.Selection.Clone())
 			if ok && !g.TotalCost(full).IsInf() {

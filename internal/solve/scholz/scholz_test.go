@@ -1,12 +1,17 @@
 package scholz
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"pbqprl/internal/ate"
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
+	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/brute"
 )
 
@@ -178,4 +183,193 @@ func approxEq(a, b cost.Cost) bool {
 		d = -d
 	}
 	return d <= 1e-9*(1+float64(a)+float64(b))
+}
+
+// solveReference is the original self-contained formulation of
+// SolveCtx: pick the (degree, id)-minimum alive vertex by scanning the
+// whole graph every step, fold it with its own copies of R0/R1/R2 or
+// color it with reduceRN, then back-propagate colors in reverse removal
+// order. SolveCtx, built on reduce.Eliminate, must reproduce its
+// results exactly.
+func solveReference(ctx context.Context, g *pbqp.Graph) solve.Result {
+	w := g.Clone()
+	var stack []refRecord
+	var states int64
+	truncated := ctx.Err() != nil
+	for w.AliveCount() > 0 {
+		states++
+		if !truncated && states%solve.CheckInterval == 0 && ctx.Err() != nil {
+			truncated = true
+		}
+		u := -1
+		for _, v := range w.Vertices() {
+			if u == -1 || w.Degree(v) < w.Degree(u) {
+				u = v
+			}
+		}
+		d := w.Degree(u)
+		switch {
+		case truncated || d > 2:
+			stack = append(stack, refRecord{rn: true, u: u, chosen: reduceRN(w, u)})
+		case d == 0:
+			stack = append(stack, refRecord{u: u, vec: w.VertexCost(u).Clone()})
+			w.RemoveVertex(u)
+		default:
+			stack = append(stack, refFold(w, u))
+		}
+	}
+
+	sel := make(pbqp.Selection, g.NumVertices())
+	feasible := true
+	for i := len(stack) - 1; i >= 0; i-- {
+		c := stack[i].backPropagate(sel)
+		if c < 0 {
+			feasible = false
+			c = 0
+		}
+		sel[stack[i].u] = c
+	}
+	total := g.TotalCost(sel)
+	return solve.Result{
+		Selection: sel,
+		Cost:      total,
+		Feasible:  feasible && !total.IsInf(),
+		Truncated: truncated,
+		States:    states,
+	}
+}
+
+// refRecord is one elimination of solveReference.
+type refRecord struct {
+	rn     bool
+	u      int
+	vec    cost.Vector
+	nbrs   []int
+	mats   []*cost.Matrix
+	chosen int
+}
+
+// refFold folds degree-1 vertex u into its neighbor's vector (R1) or
+// degree-2 vertex u into the edge between its neighbors (R2).
+func refFold(g *pbqp.Graph, u int) refRecord {
+	ns := g.Neighbors(u)
+	rec := refRecord{u: u, vec: g.VertexCost(u).Clone(), nbrs: ns}
+	for _, v := range ns {
+		rec.mats = append(rec.mats, g.EdgeCost(u, v).Clone())
+	}
+	m := g.M()
+	if len(ns) == 1 {
+		delta := make(cost.Vector, m)
+		for j := 0; j < m; j++ {
+			best := cost.Inf
+			for i := 0; i < m; i++ {
+				if c := rec.vec[i].Add(rec.mats[0].At(i, j)); c.Less(best) {
+					best = c
+				}
+			}
+			delta[j] = best
+		}
+		g.AddToVertexCost(ns[0], delta)
+		g.RemoveVertex(u)
+		return rec
+	}
+	delta := cost.NewMatrix(m, m)
+	for jy := 0; jy < m; jy++ {
+		for jz := 0; jz < m; jz++ {
+			best := cost.Inf
+			for i := 0; i < m; i++ {
+				if c := rec.vec[i].Add(rec.mats[0].At(i, jy)).Add(rec.mats[1].At(i, jz)); c.Less(best) {
+					best = c
+				}
+			}
+			delta.Set(jy, jz, best)
+		}
+	}
+	y, z := ns[0], ns[1]
+	g.RemoveVertex(u)
+	g.AddEdgeCost(y, z, delta)
+	if g.EdgeCost(y, z).IsZero() {
+		g.RemoveEdge(y, z)
+	}
+	return rec
+}
+
+// backPropagate re-derives the removed vertex's color from the colors
+// already assigned to its former neighbors, or -1 when every color is
+// infinite.
+func (rec *refRecord) backPropagate(sel pbqp.Selection) int {
+	if rec.rn {
+		return rec.chosen
+	}
+	if len(rec.nbrs) == 0 {
+		_, idx := rec.vec.Min()
+		return idx
+	}
+	best, bestCost := -1, cost.Inf
+	for i := range rec.vec {
+		c := rec.vec[i]
+		for k, v := range rec.nbrs {
+			c = c.Add(rec.mats[k].At(i, sel[v]))
+		}
+		if !c.IsInf() && (best == -1 || c.Less(bestCost)) {
+			best, bestCost = i, c
+		}
+	}
+	return best
+}
+
+// TestMatchesReference pins SolveCtx bit-identical to solveReference
+// on random graphs with infinite entries, dead vertices and all-infinite
+// vectors, on large sparse graphs, on the ATE suite, and on the all-RN
+// path a pre-cancelled context takes; every result must also meet
+// solve.Check.
+func TestMatchesReference(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	compare := func(name string, ctx context.Context, g *pbqp.Graph) {
+		t.Helper()
+		got := Solver{}.SolveCtx(ctx, g)
+		if err := solve.Check(g, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := solveReference(ctx, g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %+v\nreference %+v", name, got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 2000; trial++ {
+		g := randgraph.ErdosRenyi(rng, randgraph.Config{
+			N:     1 + rng.Intn(30),
+			M:     1 + rng.Intn(4),
+			PEdge: rng.Float64() * 0.5,
+			PInf:  rng.Float64() * 0.3,
+		})
+		for u := 0; u < g.NumVertices(); u++ {
+			switch r := rng.Float64(); {
+			case r < 0.1:
+				g.RemoveVertex(u)
+			case r < 0.15:
+				g.SetVertexCost(u, cost.NewInfVector(g.M()))
+			}
+		}
+		name := fmt.Sprintf("random graph %d", trial)
+		compare(name, context.Background(), g)
+		if trial%10 == 0 {
+			compare(name+" (cancelled)", cancelled, g)
+		}
+	}
+
+	for _, n := range []int{1000, 4000} {
+		g := randgraph.LargeSparse(rand.New(rand.NewSource(101)), randgraph.LargeSparseConfig{
+			N: n, M: 4, Components: 8, ClusterSize: 12, Chords: 4,
+		})
+		compare(fmt.Sprintf("LargeSparse n=%d", n), context.Background(), g)
+		compare(fmt.Sprintf("LargeSparse n=%d (cancelled)", n), cancelled, g)
+	}
+
+	for _, b := range ate.Suite() {
+		compare(b.Program.Name, context.Background(), b.Graph)
+		compare(b.Program.Name+" (cancelled)", cancelled, b.Graph)
+	}
 }

@@ -8,6 +8,8 @@ package solve
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
@@ -101,4 +103,47 @@ func (a ctxAdapter) SolveCtx(ctx context.Context, g *pbqp.Graph) Result {
 	}
 	res := a.Solver.Solve(g)
 	return res
+}
+
+// costTolerance is the relative slack Check allows between a reported
+// cost and its recomputation: solvers accumulate costs in their own
+// order (liberty sums along its permuted search path), so the two may
+// differ in the last bits. Infinite costs are compared exactly.
+const costTolerance = 1e-9
+
+// Check verifies the invariant every solver result must meet on g: a
+// nil selection carries an infinite cost and is not feasible; any
+// other selection has one color in [0, M) per vertex, dead ones
+// included, a cost equal to g.TotalCost of it, and is feasible exactly
+// when that cost is finite.
+func Check(g *pbqp.Graph, res Result) error {
+	if res.Selection == nil {
+		if res.Feasible || !res.Cost.IsInf() {
+			return fmt.Errorf("no selection but feasible=%t cost=%v", res.Feasible, res.Cost)
+		}
+		return nil
+	}
+	if len(res.Selection) != g.NumVertices() {
+		return fmt.Errorf("selection has %d colors for %d vertices", len(res.Selection), g.NumVertices())
+	}
+	for u, c := range res.Selection {
+		if c < 0 || c >= g.M() {
+			return fmt.Errorf("vertex %d has color %d, want [0,%d)", u, c, g.M())
+		}
+	}
+	want := g.TotalCost(res.Selection)
+	if !sameCost(res.Cost, want) {
+		return fmt.Errorf("reported cost %v, selection costs %v", res.Cost, want)
+	}
+	if res.Feasible == want.IsInf() {
+		return fmt.Errorf("feasible=%t but the selection costs %v", res.Feasible, want)
+	}
+	return nil
+}
+
+func sameCost(got, want cost.Cost) bool {
+	if got.IsInf() || want.IsInf() {
+		return got.IsInf() && want.IsInf()
+	}
+	return math.Abs(got.Finite()-want.Finite()) <= costTolerance*math.Max(1, math.Abs(want.Finite()))
 }
