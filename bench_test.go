@@ -30,6 +30,8 @@ import (
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/llvmsuite"
 	"pbqprl/internal/mcts"
+	pbqpnet "pbqprl/internal/net"
+	"pbqprl/internal/nn"
 	"pbqprl/internal/perfmodel"
 	"pbqprl/internal/regalloc"
 	"pbqprl/internal/router"
@@ -257,7 +259,7 @@ func inferViews() []gcn.View {
 }
 
 // BenchmarkInferThroughput measures network evaluations per second
-// through the scalar training path (Forward + Softmax, fresh
+// through the scalar training path (Forward + Mask + Softmax, fresh
 // allocations every call) and the batched inference engine
 // (EvaluateBatch: sparse kernels, content-addressed h⁰ cache, reusable
 // scratch) at several microbatch sizes. Every leg evaluates the same
@@ -287,7 +289,9 @@ func BenchmarkInferThroughput(b *testing.B) {
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			_, _ = n.Evaluate(views[i%len(views)])
+			view := views[i%len(views)]
+			logits, _ := n.Forward(view)
+			_ = nn.Softmax(logits, pbqpnet.Mask(view))
 		}
 		scalarNs = float64(time.Since(start).Nanoseconds()) / float64(b.N)
 		b.ReportMetric(scalarNs, "ns/eval")

@@ -7,7 +7,7 @@
 //
 //	pbqp-serve [-addr :8723] [-workers N] [-queue N] [-max-body 4194304]
 //	           [-default-deadline 2s] [-max-deadline 30s]
-//	           [-chain rl-bt,liberty,scholz] [-net checkpoint] [-batch N]
+//	           [-chain rl-bt,liberty,scholz] [-net checkpoint]
 //	           [-k 50] [-order fixed|random|inc|dec] [-max-states N]
 //	           [-max-vertices N] [-max-colors N]
 //	           [-drain-timeout 30s]
@@ -49,7 +49,6 @@ import (
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
 	"pbqprl/internal/mcts"
-	"pbqprl/internal/net"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/server"
 )
@@ -66,7 +65,6 @@ func main() {
 	k := flag.Int("k", 50, "MCTS simulations per action for rl stages")
 	orderFlag := flag.String("order", "dec", "coloring order for rl stages: fixed, random, inc, dec")
 	maxStates := flag.Int64("max-states", 50_000_000, "per-stage search budget")
-	batch := flag.Int("batch", 0, "share one network across requests through a batched evaluator, with this many leaves per microbatch (0 = clone the network per request)")
 	maxVertices := flag.Int("max-vertices", 0, "per-request vertex cap (0 = parser default)")
 	maxColors := flag.Int("max-colors", 0, "per-request color cap (0 = parser default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight solves")
@@ -80,23 +78,14 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
 	evaluator := func() mcts.Evaluator { return mcts.Uniform{} }
-	var batcher *net.Batcher
 	if *netPath != "" {
 		base := experiments.LoadNet(*netPath)
 		if base == nil {
 			log.Fatalf("cannot load network %s", *netPath)
 		}
-		if *batch > 0 {
-			// One shared network behind a batching queue: concurrent
-			// requests' leaf evaluations coalesce into microbatches,
-			// with per-view results bit-identical to private clones.
-			batcher = net.NewBatcher(base, *batch)
-			evaluator = func() mcts.Evaluator { return batcher }
-		} else {
-			// Network evaluators carry scratch buffers; hand every
-			// request its own clone so worker goroutines never share one.
-			evaluator = func() mcts.Evaluator { return base.Clone() }
-		}
+		// Network evaluators carry scratch buffers; hand every request
+		// its own clone so worker goroutines never share one.
+		evaluator = func() mcts.Evaluator { return base.Clone() }
 	}
 
 	srv, err := server.New(server.Config{
@@ -111,7 +100,6 @@ func main() {
 		K:               *k,
 		Order:           parseOrder(*orderFlag),
 		Evaluator:       evaluator,
-		BatchLeaves:     *batch,
 		Logf:            log.Printf,
 	})
 	if err != nil {
@@ -165,10 +153,6 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 		os.Exit(1)
-	}
-	if batcher != nil {
-		// all solves have drained; no Evaluate can be in flight
-		batcher.Close()
 	}
 	log.Printf("drained cleanly, exiting")
 }

@@ -47,7 +47,7 @@ type Solver struct {
 	// ≤ 1 solves sequentially. Workers > 1 requires an Inner that is
 	// safe for concurrent Solve calls (the stateless built-ins brute,
 	// scholz, liberty and anneal are; rl solvers carry scratch buffers
-	// and are not, unless backed by a net.Batcher).
+	// and are not).
 	Workers int
 }
 

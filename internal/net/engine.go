@@ -1,13 +1,14 @@
 package net
 
-// Read-only batched evaluation. The engine runs the same computation
-// as Evaluate — GCN embedding, pooling, torso, heads, masked softmax —
+// Read-only evaluation, the network's one inference path. The engine
+// runs the same computation as the training path — Forward's GCN
+// embedding, pooling, torso and heads, then Mask and nn.Softmax —
 // through the read-only inference paths (gcn.Infer, nn.InferBatch) and
-// reusable scratch buffers, batching any number of views through one
-// blocked matmul pass per layer. Its contract is bit-identity: each
-// view's (prior, value) is bit-for-bit what the scalar Evaluate
-// returns for that view, for any batch size and order, so batching is
-// purely a throughput decision.
+// reusable scratch buffers. Its contract is bit-identity: each view's
+// (prior, value) is bit-for-bit what Forward, Mask and nn.Softmax give
+// for that view, for any batch size and order. Evaluate and
+// EvaluateInto run it on one view; EvaluateBatch runs several through
+// one blocked matmul pass per layer.
 //
 // The engine shares the owning net's single-goroutine discipline (as
 // do the Forward caches). Weight-derived caches are dropped whenever
@@ -20,7 +21,7 @@ import (
 	"pbqprl/internal/tensor"
 )
 
-// engine is the scratch state of the batched evaluation path.
+// engine is the scratch state of the read-only evaluation path.
 type engine struct {
 	gsc    gcn.Scratch
 	isc    nn.InferScratch
@@ -69,8 +70,8 @@ func (p *PBQPNet) inferHeads(views []gcn.View) (logits, vals *tensor.Mat) {
 }
 
 // EvaluateInto is Evaluate writing the prior into a caller-provided
-// length-m vector: bit-identical results, no allocation in the steady
-// state, no Forward caches touched.
+// length-m vector: no allocation in the steady state, no Forward
+// caches touched.
 //
 //pbqpvet:hotpath
 func (p *PBQPNet) EvaluateInto(view gcn.View, prior tensor.Vec) (value float64) {

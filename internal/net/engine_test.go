@@ -1,11 +1,8 @@
 package net
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
-	"sync"
 	"testing"
 
 	"pbqprl/internal/cost"
@@ -78,7 +75,7 @@ func TestEvaluateSaturatedVertex(t *testing.T) {
 		cost.NewVector(m),
 	}}
 	p := New(Config{M: m, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 82})
-	prior, value := p.Evaluate(view)
+	prior, value := forwardEvaluate(p, view)
 	for i, pr := range prior {
 		if pr != 0 || math.Signbit(pr) {
 			t.Errorf("prior[%d] = %v, want +0", i, pr)
@@ -87,14 +84,14 @@ func TestEvaluateSaturatedVertex(t *testing.T) {
 	if math.IsNaN(value) {
 		t.Error("value is NaN")
 	}
-	// the batched path must agree
-	got := make(tensor.Vec, m)
-	if v := p.EvaluateInto(view, got); math.Float64bits(v) != math.Float64bits(value) {
-		t.Errorf("EvaluateInto value %v, want %v", v, value)
+	// the engine must agree
+	got, v := p.Evaluate(view)
+	if math.Float64bits(v) != math.Float64bits(value) {
+		t.Errorf("Evaluate value %v, want %v", v, value)
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(prior[i]) {
-			t.Errorf("EvaluateInto prior[%d] mismatch", i)
+			t.Errorf("Evaluate prior[%d] mismatch", i)
 		}
 	}
 }
@@ -112,10 +109,10 @@ func engineTestViews(m int) []gcn.View {
 	return views
 }
 
-// TestEvaluateBatchBitIdenticalShuffled is the tentpole property test:
-// for shuffled batches of mixed views, every (prior, value) pair out
-// of the batched engine equals the scalar Evaluate bit for bit,
-// independent of batch composition and of cache warmth.
+// TestEvaluateBatchBitIdenticalShuffled is the engine's property test:
+// for single views and shuffled batches of mixed views, every (prior,
+// value) pair out of the engine equals Forward + Mask + Softmax bit
+// for bit, independent of batch composition and of cache warmth.
 func TestEvaluateBatchBitIdenticalShuffled(t *testing.T) {
 	const m = 5
 	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 98})
@@ -124,7 +121,20 @@ func TestEvaluateBatchBitIdenticalShuffled(t *testing.T) {
 	wantPrior := make([]tensor.Vec, len(views))
 	wantValue := make([]float64, len(views))
 	for i, v := range views {
-		wantPrior[i], wantValue[i] = p.Evaluate(v)
+		wantPrior[i], wantValue[i] = forwardEvaluate(p, v)
+	}
+	for j, v := range views {
+		prior, value := p.Evaluate(v)
+		if math.Float64bits(value) != math.Float64bits(wantValue[j]) {
+			t.Fatalf("view %d: Evaluate value %x, want %x",
+				j, math.Float64bits(value), math.Float64bits(wantValue[j]))
+		}
+		for c := range prior {
+			if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[j][c]) {
+				t.Fatalf("view %d color %d: Evaluate prior %x, want %x",
+					j, c, math.Float64bits(prior[c]), math.Float64bits(wantPrior[j][c]))
+			}
+		}
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -179,7 +189,7 @@ func TestEvaluateEngineAfterWeightChange(t *testing.T) {
 	p.EvaluateInto(view, prior) // warm caches against p's initial weights
 
 	p.CopyFrom(q)
-	wantPrior, wantValue := q.Evaluate(view)
+	wantPrior, wantValue := forwardEvaluate(q, view)
 	value := p.EvaluateInto(view, prior)
 	if math.Float64bits(value) != math.Float64bits(wantValue) {
 		t.Fatalf("value %x, want %x after CopyFrom", math.Float64bits(value), math.Float64bits(wantValue))
@@ -187,144 +197,6 @@ func TestEvaluateEngineAfterWeightChange(t *testing.T) {
 	for i := range prior {
 		if math.Float64bits(prior[i]) != math.Float64bits(wantPrior[i]) {
 			t.Fatalf("prior[%d] stale after CopyFrom", i)
-		}
-	}
-}
-
-// TestBatcherConcurrentBitIdentical: many goroutines sharing one
-// Batcher each get exactly the scalar results, whatever microbatches
-// their requests coalesce into. Run under -race in CI.
-func TestBatcherConcurrentBitIdentical(t *testing.T) {
-	const m = 5
-	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 105})
-	views := engineTestViews(m)
-
-	ref := p.Clone()
-	wantPrior := make([]tensor.Vec, len(views))
-	wantValue := make([]float64, len(views))
-	for i, v := range views {
-		wantPrior[i], wantValue[i] = ref.Evaluate(v)
-	}
-
-	b := NewBatcher(p, 8)
-	const workers = 6
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + w)))
-			for iter := 0; iter < 30; iter++ {
-				j := rng.Intn(len(views))
-				prior, value := b.Evaluate(views[j])
-				if math.Float64bits(value) != math.Float64bits(wantValue[j]) {
-					errs <- "value mismatch"
-					return
-				}
-				for c := range prior {
-					if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[j][c]) {
-						errs <- "prior mismatch"
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.Close()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-}
-
-// TestBatcherContainsEvaluationPanics pins the failure isolation of
-// the shared-batcher path: a view whose dimensions do not match the
-// network panics on its caller's goroutine — where the portfolio's
-// per-stage recovery lives — with the scalar path's message, while
-// batchmates sharing the microbatch still get their bit-identical
-// answers and the dispatcher keeps serving. Before this pin, one
-// mismatched request killed the dispatcher goroutine and with it the
-// whole server.
-func TestBatcherContainsEvaluationPanics(t *testing.T) {
-	const m = 5
-	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 106})
-	views := engineTestViews(m)
-	bad := zeroInfView(9, 8, 3) // M=3 graph: the scalar path rejects it
-
-	ref := p.Clone()
-	wantPrior := make([]tensor.Vec, len(views))
-	wantValue := make([]float64, len(views))
-	for i, v := range views {
-		wantPrior[i], wantValue[i] = ref.Evaluate(v)
-	}
-
-	b := NewBatcher(p, 8)
-	defer b.Close()
-
-	recovered := func(view gcn.View) (pv any) {
-		defer func() { pv = recover() }()
-		b.Evaluate(view)
-		return nil
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(300 + w)))
-			for iter := 0; iter < 25; iter++ {
-				j := rng.Intn(len(views))
-				prior, value := b.Evaluate(views[j])
-				if math.Float64bits(value) != math.Float64bits(wantValue[j]) {
-					errs <- "value mismatch beside panicking batchmate"
-					return
-				}
-				for c := range prior {
-					if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[j][c]) {
-						errs <- "prior mismatch beside panicking batchmate"
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 10; iter++ {
-				pv := recovered(bad)
-				if pv == nil {
-					errs <- "mismatched view did not panic"
-					return
-				}
-				if !strings.Contains(fmt.Sprint(pv), "dimension mismatch") {
-					errs <- fmt.Sprintf("unexpected panic value: %v", pv)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-
-	// the dispatcher survived: a fresh request still gets exact answers
-	prior, value := b.Evaluate(views[0])
-	if math.Float64bits(value) != math.Float64bits(wantValue[0]) {
-		t.Fatal("value mismatch after recovered panics")
-	}
-	for c := range prior {
-		if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[0][c]) {
-			t.Fatal("prior mismatch after recovered panics")
 		}
 	}
 }

@@ -154,10 +154,13 @@ func poolInto(f tensor.Vec, view gcn.View, h []tensor.Vec) {
 
 // Evaluate returns the masked prior distribution p̂(·|s) over colors and
 // the value estimate v̂ for the state presented by view. Colors whose
-// vertex cost is infinite get probability zero.
+// vertex cost is infinite get probability zero. It runs on the
+// read-only engine (EvaluateInto into a fresh prior), which is
+// bit-identical to Forward followed by Mask and nn.Softmax; Forward
+// stays the training path, since Backward needs its caches.
 func (p *PBQPNet) Evaluate(view gcn.View) (prior tensor.Vec, value float64) {
-	logits, value := p.Forward(view)
-	return nn.Softmax(logits, Mask(view)), value
+	prior = make(tensor.Vec, p.cfg.M)
+	return prior, p.EvaluateInto(view, prior)
 }
 
 // Mask returns the legal-color mask of the next vertex to color. A

@@ -19,6 +19,13 @@ func testView(seed int64, n, m int) gcn.View {
 	return gcn.NewGraphView(g)
 }
 
+// forwardEvaluate is the reference the engine is pinned against: the
+// training path's Forward, then Mask and nn.Softmax.
+func forwardEvaluate(p *PBQPNet, view gcn.View) (tensor.Vec, float64) {
+	logits, value := p.Forward(view)
+	return nn.Softmax(logits, Mask(view)), value
+}
+
 func smallNet(m int) *PBQPNet {
 	return New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 1})
 }
@@ -129,10 +136,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := New(Config{M: 3, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 99})
+	b.Evaluate(view) // warm b's engine caches against its old weights
 	if err := b.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pa, va := a.Evaluate(view)
+	pa, va := forwardEvaluate(a, view)
 	pb, vb := b.Evaluate(view)
 	if va != vb {
 		t.Error("values differ after load")
@@ -158,15 +166,17 @@ func TestCloneIsIndependent(t *testing.T) {
 	a := smallNet(3)
 	b := a.Clone()
 	view := testView(7, 5, 3)
-	pa, _ := a.Evaluate(view)
-	pb, _ := b.Evaluate(view)
+	// the reference path reads the weights afresh on every call; the
+	// engine's caches could hide weights shared by mistake
+	pa, _ := forwardEvaluate(a, view)
+	pb, _ := forwardEvaluate(b, view)
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatal("clone differs")
 		}
 	}
 	b.Params()[0].W[0] += 0.5
-	pa2, _ := a.Evaluate(view)
+	pa2, _ := forwardEvaluate(a, view)
 	for i := range pa {
 		if pa[i] != pa2[i] {
 			t.Fatal("mutating clone changed original")

@@ -88,20 +88,12 @@ type Config struct {
 	// paper's best, decreasing liberty.
 	Order game.Order
 	// Evaluator supplies the MCTS evaluator for rl stages; the factory
-	// is called once per admitted request that uses one. Cloning
-	// factories hand every request a private network (evaluators carry
-	// scratch buffers that are not safe to share across worker
-	// goroutines); a factory returning one shared net.Batcher instead
-	// funnels every request's evaluations through a single network and
-	// coalesces them into batches (cmd/pbqp-serve -batch). Nil uses
-	// the uniform (untrained) prior.
+	// is called once per admitted request that uses one. It must hand
+	// every request a private evaluator — a network clone, as
+	// cmd/pbqp-serve -net does — because evaluators carry scratch
+	// buffers that are not safe to share across worker goroutines. Nil
+	// uses the uniform (untrained) prior.
 	Evaluator func() mcts.Evaluator
-	// BatchLeaves is the mcts.Config.BatchLeaves value for rl stages:
-	// how many simulations' leaves each search collects per batched
-	// evaluation. Search results are bit-identical whatever the value;
-	// it only matters for throughput. Zero (or an evaluator without a
-	// batched path) keeps the sequential per-leaf loop.
-	BatchLeaves int
 	// MakeSolver overrides solver construction by name; tests inject
 	// blocking or panicking solvers through it. Nil uses the built-in
 	// names (brute, scholz, liberty, anneal, rl, rl-bt).
@@ -254,11 +246,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // buildChain constructs fresh solver instances for the named chain.
 // Fresh per request on purpose: solver structs carry per-solve state,
-// and with a cloning Evaluator factory each request also gets a
-// private network (evaluators carry scratch buffers that are not safe
-// to share across worker goroutines). A batching factory instead hands
-// every request the same concurrency-safe net.Batcher, which
-// serializes the shared network behind its queue.
+// and the Evaluator factory gives each request a private network
+// (evaluators carry scratch buffers that are not safe to share across
+// worker goroutines).
 func buildChain(cfg Config, names []string) ([]solve.Solver, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("empty solver chain")
@@ -307,7 +297,6 @@ func makeSolver(cfg Config, name string) (solve.Solver, error) {
 			Backtrack:    name == "rl-bt",
 			ReinvokeMCTS: true,
 			MaxNodes:     cfg.MaxStates,
-			MCTS:         mcts.Config{BatchLeaves: cfg.BatchLeaves},
 		}}, nil
 	default:
 		return nil, fmt.Errorf("unknown solver %q (want brute, scholz, liberty, anneal, rl, or rl-bt, optionally prefixed decomp:)", name)
